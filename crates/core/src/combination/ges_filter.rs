@@ -6,9 +6,10 @@
 //! θ, and then re-score the candidates with the exact GES of Equation 3.14.
 //!
 //! **Shared-artifact contract:** the word table `BASE_WORDS` (indexed on
-//! wtoken), the weighted record word views used for exact re-scoring and the
-//! tid→index map all come from the engine's shared phase-1 artifacts; only
-//! the second-level token table — `BASE_QGRAMS` (indexed on qgram) or
+//! wtoken) and the tid→index map come from the engine's shared phase-1
+//! artifacts, and exact re-scoring reads the corpus word ids through the
+//! same per-query GES memo as the exact predicate; only the second-level
+//! token table — `BASE_QGRAMS` (indexed on qgram) or
 //! `BASE_MHSIG` (indexed on the composite `(fid, value)`) — is built here,
 //! registered over a clone of the shared catalog. The whole filter pipeline
 //! is one prepared plan whose query-side tables and the `Σ idf` normalizer
@@ -19,7 +20,7 @@
 //! exactly re-scored results (heap-based top-k, post-rescoring threshold),
 //! never to the estimates.
 
-use crate::combination::ges::ges_similarity;
+use crate::combination::ges::GesScorer;
 use crate::corpus::TokenizedCorpus;
 use crate::dict::{TokenDict, TokenId};
 use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
@@ -296,7 +297,8 @@ impl FilteredGes {
         if query_words.is_empty() {
             return Ok(Vec::new());
         }
-        let record_words = self.shared.record_words();
+        let mut scorer =
+            GesScorer::new(self.shared.corpus(), query_words, self.shared.params().ges.cins);
         let mut out = Vec::new();
         for candidate in self.filter_scores_mode(query, naive)? {
             if candidate.score < self.shared.params().ges.filter_threshold {
@@ -310,9 +312,7 @@ impl FilteredGes {
                     break;
                 }
             }
-            let idx = self.shared.record_index(candidate.tid);
-            let exact =
-                ges_similarity(query_words, &record_words[idx], self.shared.params().ges.cins);
+            let exact = scorer.score(self.shared.record_index(candidate.tid));
             out.push(ScoredTid::new(candidate.tid, exact));
         }
         Ok(finalize_ranking(out, exec))
@@ -439,9 +439,9 @@ mod tests {
         let filter = p.filter_scores(q);
         let shared = p.inner.shared();
         let query_words = weighted_query_words(shared.corpus(), q);
+        let mut scorer = GesScorer::new(shared.corpus(), &query_words, 0.5);
         for s in &filter {
-            let idx = shared.record_index(s.tid);
-            let exact = ges_similarity(&query_words, &shared.record_words()[idx], 0.5);
+            let exact = scorer.score(shared.record_index(s.tid));
             assert!(
                 s.score >= exact - 0.15,
                 "filter {} should not be far below exact {} for tid {}",

@@ -42,15 +42,15 @@
 //! ## Lazy shared artifacts and the result cache
 //!
 //! Every phase-1 artifact — the six shared token/weight tables with their
-//! equality indexes, the two shared posting indexes, the normalized strings
-//! and the weighted word views — is built on first use (`OnceLock` per
-//! artifact) and then shared by reference: a standalone single-predicate
-//! build pays only for the artifacts that predicate probes. Corpora are
+//! equality indexes, the two shared posting indexes and the normalized
+//! strings — is built on first use (`OnceLock` per artifact) and then
+//! shared by reference: a standalone single-predicate build pays only for
+//! the artifacts that predicate probes. Corpora are
 //! immutable, so the engine also keeps a small invalidation-free LRU of
 //! recent results keyed on `(predicate, query text, exec mode)`; see
 //! [`SelectionEngine::result_cache_stats`].
 
-use crate::combination::ges::{weighted_record_words, WeightedWord};
+use crate::combination::ges::WeightedWord;
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::overlap::overlap_weight;
 use crate::params::Params;
@@ -186,8 +186,6 @@ pub(crate) struct SharedArtifacts {
     posting_overlap_weights: OnceLock<Arc<PostingIndex>>,
     /// Normalized record text, the strings the edit-distance UDF compares.
     normalized: OnceLock<Vec<String>>,
-    /// IDF-weighted word views of every record (GES family).
-    record_words: OnceLock<Vec<Vec<WeightedWord>>>,
     /// Mean word IDF, the weight of query words unseen in the base (§4.5).
     avg_word_idf: OnceLock<f64>,
     /// Invalidation-free LRU of recent results (corpora are immutable).
@@ -228,7 +226,6 @@ impl SharedArtifacts {
             posting_base_tokens: OnceLock::new(),
             posting_overlap_weights: OnceLock::new(),
             normalized: OnceLock::new(),
-            record_words: OnceLock::new(),
             avg_word_idf: OnceLock::new(),
             cache: ResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY),
             router: crate::cost::Router::new(params.route),
@@ -327,7 +324,6 @@ impl SharedArtifacts {
             "posting:base_tokens" => self.posting_base_tokens.get().is_some(),
             "posting:overlap_weights" => self.posting_overlap_weights.get().is_some(),
             "normalized" => self.normalized.get().is_some(),
-            "record_words" => self.record_words.get().is_some(),
             _ => {
                 let slot = SHARED_TABLES
                     .iter()
@@ -371,12 +367,6 @@ impl SharedArtifacts {
         &self.normalized.get_or_init(|| {
             self.corpus.corpus().records().iter().map(|r| normalize(&r.text)).collect()
         })[idx]
-    }
-
-    pub(crate) fn record_words(&self) -> &[Vec<WeightedWord>] {
-        self.record_words.get_or_init(|| {
-            (0..self.corpus.num_records()).map(|i| weighted_record_words(&self.corpus, i)).collect()
-        })
     }
 
     pub(crate) fn avg_word_idf(&self) -> f64 {
@@ -1438,7 +1428,14 @@ mod tests {
         assert!(shared.artifact_built("posting:base_tokens"));
         assert!(!shared.artifact_built("overlap_weights"));
         assert!(!shared.artifact_built("base_words"));
-        assert!(!shared.artifact_built("record_words"));
+        // Exact GES scores from the corpus word ids through a per-query memo:
+        // it forces no shared artifact at all.
+        let ges = engine.predicate(PredicateKind::Ges);
+        ges.execute(&query, Exec::TopK(3)).unwrap();
+        for table in ["base_tf", "base_len", "overlap_weights", "overlap_len", "base_words"] {
+            assert!(!shared.artifact_built(table), "{table} built by GES");
+        }
+        assert!(!shared.artifact_built("normalized"));
         // The edit predicate forces the normalized strings and base_tf only.
         let edit = engine.predicate(PredicateKind::EditSimilarity);
         edit.execute(&query, Exec::Rank).unwrap();

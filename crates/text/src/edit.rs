@@ -1,15 +1,112 @@
 //! Levenshtein edit distance and the edit similarity of §3.4.
+//!
+//! [`EditPattern`] is the prepared form: one side of the comparison is
+//! turned once into the per-character match masks of the bit-parallel
+//! algorithm of Myers (1999), in Hyyrö's formulation for global edit
+//! distance, so comparing it against many texts costs one pass over each
+//! text with a handful of word operations per character and no allocation.
+//! Patterns longer than 64 characters or holding non-ASCII characters keep
+//! the two-row dynamic program of [`edit_distance_chars`].
+
+/// Longest pattern the bit-parallel path handles (one machine word).
+const MAX_BIT_PARALLEL: usize = 64;
+
+/// A string prepared for repeated edit-distance comparisons.
+///
+/// Build it once per query-side word and call [`distance`](Self::distance)
+/// or [`similarity`](Self::similarity) per text; the results equal
+/// [`edit_distance`] and [`edit_similarity`] exactly.
+#[derive(Debug, Clone)]
+pub struct EditPattern {
+    /// Pattern length in Unicode scalar values.
+    len: usize,
+    /// Per ASCII code: the bit set of pattern positions holding it.
+    peq: [u64; 128],
+    /// The pattern's characters when it takes the dynamic-programming
+    /// fallback; `None` on the bit-parallel path.
+    fallback: Option<Vec<char>>,
+}
+
+impl EditPattern {
+    /// Prepare `pattern`.
+    pub fn new(pattern: &str) -> Self {
+        let len = pattern.chars().count();
+        let mut peq = [0u64; 128];
+        if len <= MAX_BIT_PARALLEL && pattern.is_ascii() {
+            for (i, b) in pattern.bytes().enumerate() {
+                peq[b as usize] |= 1u64 << i;
+            }
+            EditPattern { len, peq, fallback: None }
+        } else {
+            EditPattern { len, peq, fallback: Some(pattern.chars().collect()) }
+        }
+    }
+
+    /// Edit distance to `text` and the length of `text` in characters.
+    fn distance_and_text_len(&self, text: &str) -> (usize, usize) {
+        if let Some(chars) = &self.fallback {
+            let text: Vec<char> = text.chars().collect();
+            return (edit_distance_chars(chars, &text), text.len());
+        }
+        if self.len == 0 {
+            let n = text.chars().count();
+            return (n, n);
+        }
+        // Vertical deltas of the current DP column as two bit vectors
+        // (+1 in `pv`, -1 in `mv`); `score` tracks the last row. Bits above
+        // the pattern length never carry into lower bits, so all-ones works
+        // as the initial column for every length up to 64.
+        let last = 1u64 << (self.len - 1);
+        let mut pv = !0u64;
+        let mut mv = 0u64;
+        let mut score = self.len;
+        let mut n = 0usize;
+        for c in text.chars() {
+            n += 1;
+            let eq = if c.is_ascii() { self.peq[c as usize] } else { 0 };
+            let xv = eq | mv;
+            let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+            let ph = mv | !(xh | pv);
+            let mh = pv & xh;
+            if ph & last != 0 {
+                score += 1;
+            } else if mh & last != 0 {
+                score -= 1;
+            }
+            // The first DP row grows by one per text character, so a +1
+            // horizontal delta shifts in at the top.
+            let ph = (ph << 1) | 1;
+            let mh = mh << 1;
+            pv = mh | !(xv | ph);
+            mv = ph & xv;
+        }
+        (score, n)
+    }
+
+    /// Levenshtein distance between the pattern and `text`.
+    pub fn distance(&self, text: &str) -> usize {
+        self.distance_and_text_len(text).0
+    }
+
+    /// Edit similarity (Equation 3.13) between the pattern and `text`.
+    pub fn similarity(&self, text: &str) -> f64 {
+        let (d, text_len) = self.distance_and_text_len(text);
+        let max_len = self.len.max(text_len);
+        if max_len == 0 {
+            return 1.0;
+        }
+        1.0 - d as f64 / max_len as f64
+    }
+}
 
 /// Levenshtein edit distance between two strings (unit costs for insert,
 /// delete and substitute; copy is free), computed over Unicode scalar values.
 pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    edit_distance_chars(&a, &b)
+    EditPattern::new(a).distance(b)
 }
 
-/// Edit distance over pre-split character slices (avoids re-collecting when
-/// callers already hold `Vec<char>`).
+/// Edit distance over pre-split character slices: the two-row dynamic
+/// program, the reference the bit-parallel path is tested against.
 pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
     if a.is_empty() {
         return b.len();
@@ -85,13 +182,7 @@ pub fn edit_distance_within(a: &str, b: &str, max_d: usize) -> Option<usize> {
 /// Edit similarity (Equation 3.13): `1 - ed(Q, D) / max(|Q|, |D|)`,
 /// defined as 1.0 when both strings are empty.
 pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    let max_len = la.max(lb);
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - edit_distance(a, b) as f64 / max_len as f64
+    EditPattern::new(a).similarity(b)
 }
 
 #[cfg(test)]

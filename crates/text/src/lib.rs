@@ -5,7 +5,8 @@
 //!
 //! * [`qgram`] — q-gram extraction with the `$`-padding scheme of §5.3.3,
 //! * [`word`] — word tokenization (Appendix A.2),
-//! * [`edit`] — Levenshtein edit distance and edit similarity (§3.4),
+//! * [`edit`] — Levenshtein edit distance and edit similarity (§3.4), with
+//!   a prepared bit-parallel [`EditPattern`] for one-to-many comparisons,
 //! * [`mod@jaro`] — Jaro / Jaro-Winkler similarity (used by SoftTFIDF),
 //! * [`minhash`] — min-wise independent permutations (used by GESapx),
 //! * [`mod@normalize`] — case folding and whitespace normalization.
@@ -19,7 +20,7 @@ pub mod normalize;
 pub mod qgram;
 pub mod word;
 
-pub use edit::{edit_distance, edit_distance_within, edit_similarity};
+pub use edit::{edit_distance, edit_distance_within, edit_similarity, EditPattern};
 pub use jaro::{jaro, jaro_winkler};
 pub use minhash::MinHasher;
 pub use normalize::normalize;

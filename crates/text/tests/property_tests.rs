@@ -1,9 +1,11 @@
 //! Property-based tests for the text primitives: metric-like invariants of
 //! edit distance, bounds of Jaro-Winkler, and q-gram counting identities.
 
+use dasp_text::edit::edit_distance_chars;
+use dasp_text::jaro::jaro_chars;
 use dasp_text::{
     edit_distance, edit_distance_within, edit_similarity, jaro, jaro_winkler, qgrams, word_tokens,
-    MinHasher, QgramConfig,
+    EditPattern, MinHasher, QgramConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -70,6 +72,94 @@ fn jaro_winkler_bounds_and_symmetry() {
         assert!(w >= j - 1e-12);
         assert!((jaro(&a, &b) - jaro(&b, &a)).abs() < 1e-12);
         assert!((jaro(&a, &a) - 1.0).abs() < 1e-12 || a.is_empty());
+    });
+}
+
+fn chars(s: &str) -> Vec<char> {
+    s.chars().collect()
+}
+
+/// The bit-parallel distance of a prepared pattern against the two-row DP,
+/// plus the similarity derived from it against the Equation 3.13 formula.
+fn assert_pattern_matches_dp(pattern: &str, text: &str) {
+    let (p, t) = (chars(pattern), chars(text));
+    let expected = edit_distance_chars(&p, &t);
+    let prepared = EditPattern::new(pattern);
+    assert_eq!(prepared.distance(text), expected, "{pattern:?} vs {text:?}");
+    assert_eq!(edit_distance(pattern, text), expected, "{pattern:?} vs {text:?}");
+    let max_len = p.len().max(t.len());
+    let sim = if max_len == 0 { 1.0 } else { 1.0 - expected as f64 / max_len as f64 };
+    assert_eq!(prepared.similarity(text).to_bits(), sim.to_bits(), "{pattern:?} vs {text:?}");
+}
+
+#[test]
+fn bit_parallel_edit_distance_equals_dp() {
+    check(256, |g| {
+        let a = g.string_of("abcd", 0..20);
+        let b = g.string_of("abcd", 0..20);
+        assert_pattern_matches_dp(&a, &b);
+        // Non-ASCII: on the text side the bit-parallel path still runs
+        // (such characters match no pattern position); on the pattern side
+        // the DP fallback takes over.
+        let u = g.string_of(ANY, 0..17);
+        let v = g.string_of(ANY, 0..17);
+        assert_pattern_matches_dp(&u, &v);
+        assert_pattern_matches_dp(&a, &u);
+        assert_pattern_matches_dp(&u, &a);
+    });
+}
+
+#[test]
+fn bit_parallel_edit_distance_at_the_word_boundary() {
+    // Patterns of 63, 64 (the last bit-parallel length) and 65 characters
+    // (the first fallback length), against texts around the same lengths.
+    check(64, |g| {
+        for len in [63, 64, 65] {
+            let pattern = g.string_of("ab", len..len + 1);
+            let near = g.string_of("ab", len - 3..len + 4);
+            let far = g.string_of("abc", 0..130);
+            for text in [&near, &far, &pattern, &String::new()] {
+                assert_pattern_matches_dp(&pattern, text);
+                assert_pattern_matches_dp(text, &pattern);
+            }
+        }
+    });
+}
+
+#[test]
+fn empty_edit_patterns() {
+    assert_pattern_matches_dp("", "");
+    assert_pattern_matches_dp("", "abc");
+    assert_pattern_matches_dp("abc", "");
+    assert_pattern_matches_dp("", "\u{e9}\u{4e16}");
+}
+
+/// Jaro-Winkler from the character-vector reference, with the prefix rule
+/// of `jaro_winkler` (p = 0.1, at most four characters).
+fn jaro_winkler_reference(a: &str, b: &str) -> f64 {
+    let j = jaro_chars(&chars(a), &chars(b));
+    let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count();
+    (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
+}
+
+#[test]
+fn bitset_jaro_equals_char_reference_bit_for_bit() {
+    check(256, |g| {
+        let pairs = [
+            (g.string_of("abcde", 0..11), g.string_of("abcde", 0..11)),
+            (g.string_of("abcdefghij", 0..24), g.string_of("abcdefghij", 0..24)),
+            (g.string_of("ab", 55..70), g.string_of("ab", 55..70)),
+            (g.string_of(ANY, 0..13), g.string_of(ANY, 0..13)),
+        ];
+        for (a, b) in &pairs {
+            let reference = jaro_chars(&chars(a), &chars(b));
+            assert_eq!(jaro(a, b).to_bits(), reference.to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(
+                jaro_winkler(a, b).to_bits(),
+                jaro_winkler_reference(a, b).to_bits(),
+                "{a:?} vs {b:?}"
+            );
+        }
     });
 }
 
